@@ -3,6 +3,7 @@
 #include "sched/node_balance.hpp"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 namespace feves::cluster {
@@ -186,14 +187,8 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
 
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    const bool real = shard.source != nullptr;
-    FrameworkOptions fwo = shard.fw;
-    fwo.trace = nullptr;  // worker-private loop: the manager traces instead
-
     Cached& c = cache_[shard.session];
-    const bool warm = c.frames_done == shard.frame_begin &&
-                      ((real && c.enc) || (!real && c.vfw));
-    if (!warm) {
+    if (!c.engine || c.frames_done != shard.frame_begin) {
       // Cold start (or affinity moved the session elsewhere and back):
       // rebuild from the checkpoint carried by the shard. Bit-identity
       // never depends on the warm path.
@@ -204,26 +199,20 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
       // portable; the device-local state is rebuilt exactly as a fresh
       // framework would — legal because the characterization and health
       // only steer WHERE work runs, never what bits come out.
-      SessionCheckpoint resume = shard.resume;
-      auto refit = [&](FrameworkCheckpoint* fw) {
-        if (fw->perf.num_devices() == topo_.num_devices()) return;
-        fw->perf = PerfCharacterization(topo_.num_devices(),
-                                        fwo.ewma_alpha);
-        fw->health = DeviceHealthMonitor(topo_.num_devices(), fwo.health);
-        fw->rf_holder = std::max(0, topo_.cpu_index());
-      };
-      c.vfw.reset();
-      c.enc.reset();
-      if (real) {
-        if (resume.valid) refit(&resume.enc.fw);
-        c.enc = std::make_unique<CollaborativeEncoder>(
-            shard.cfg, topo_, fwo, shard.tier, shard.device_faults);
-        if (resume.valid) c.enc->restore(resume.enc);
-      } else {
-        if (resume.valid) refit(&resume.fw);
-        c.vfw = std::make_unique<VirtualFramework>(
-            shard.cfg, topo_, fwo, shard.perturbations, shard.device_faults);
-        if (resume.valid) c.vfw->restore(resume.fw);
+      FrameworkOptions fwo = shard.fw;
+      fwo.trace = nullptr;  // worker-private loop: the manager traces instead
+      c.engine = make_session_engine(shard.cfg, topo_, fwo, shard.perturbations,
+                                     shard.device_faults, shard.source,
+                                     shard.tier);
+      if (shard.resume.valid) {
+        EncoderCheckpoint state = shard.resume.state;
+        FrameworkCheckpoint& fw = state.fw;
+        if (fw.perf.num_devices() != topo_.num_devices()) {
+          fw.perf = PerfCharacterization(topo_.num_devices(), fwo.ewma_alpha);
+          fw.health = DeviceHealthMonitor(topo_.num_devices(), fwo.health);
+          fw.rf_holder = std::max(0, topo_.cpu_index());
+        }
+        c.engine->restore(state);
       }
       c.frames_done = shard.frame_begin;
     }
@@ -232,7 +221,6 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
         shard.resume.valid ? shard.resume.bitstream_bytes : 0;
     const std::vector<bool> all(
         static_cast<std::size_t>(topo_.num_devices()), true);
-    Frame420 frame(shard.cfg.width, shard.cfg.height);
 
     for (int f = shard.frame_begin; f < shard.frame_end; ++f) {
       // Fault edges are honoured between frames: a hang stalls the
@@ -254,24 +242,18 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
         return;
       }
 
-      if (real) {
-        if (!shard.source->read_frame(f, frame)) {
-          r.source_exhausted = true;
-          break;
-        }
-        // Frame 0 is the host-side bootstrap I frame: no grant.
-        if (f == 0) {
-          r.frames.push_back(c.enc->encode_frame(frame, &r.bitstream));
-        } else {
-          DeviceLease lease = pool_.reserve(all);
-          r.frames.push_back(c.enc->encode_frame(
-              frame, &r.bitstream, FrameGrant{&lease.mask(), &lease}));
-        }
-      } else {
-        DeviceLease lease = pool_.reserve(all);
-        r.frames.push_back(
-            c.vfw->encode_frame(FrameGrant{&lease.mask(), &lease}));
+      if (!c.engine->load_next()) {
+        r.source_exhausted = true;
+        break;
       }
+      // The host-side bootstrap I frame needs no grant.
+      std::optional<DeviceLease> lease;
+      FrameGrant grant;
+      if (c.engine->needs_grant()) {
+        lease.emplace(pool_.reserve(all));
+        grant = FrameGrant{&lease->mask(), &*lease};
+      }
+      r.frames.push_back(c.engine->encode(grant, &r.bitstream));
       ++c.frames_done;
       ++r.frames_done;
     }
@@ -282,18 +264,20 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
     r.checkpoint.frames_recorded =
         static_cast<std::size_t>(c.frames_done);
     r.checkpoint.bitstream_bytes = base_bytes + r.bitstream.size();
-    if (real) {
-      r.checkpoint.enc = c.enc->checkpoint();
-      r.checkpoint.fw = r.checkpoint.enc.fw;
-    } else {
-      r.checkpoint.fw = c.vfw->checkpoint();
-    }
+    r.checkpoint.state = c.engine->checkpoint();
     r.ok = true;
+    // A finished session never gets another quantum: drop its reference
+    // window and mirrors instead of holding them for the worker's life.
+    if (c.frames_done >= shard.total_frames || r.source_exhausted) {
+      cache_.erase(shard.session);
+    }
   } catch (const std::exception& e) {
     r.ok = false;
     r.error = e.what();
     cache_.erase(shard.session);  // state is suspect after a throw
   }
+  cached_sessions_.store(static_cast<int>(cache_.size()),
+                         std::memory_order_relaxed);
   r.encode_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();

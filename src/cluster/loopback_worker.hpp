@@ -19,6 +19,7 @@
 #include "cluster/worker.hpp"
 #include "platform/fault.hpp"
 #include "platform/pool.hpp"
+#include "service/session_engine.hpp"
 
 #include <atomic>
 #include <condition_variable>
@@ -45,6 +46,13 @@ class LoopbackWorker : public WorkerProxy {
 
   const PlatformTopology& topology() const { return topo_; }
 
+  /// Sessions whose continuation state the executor holds, as of the last
+  /// shard it finished. A session leaves the cache when its final quantum
+  /// ends (or its source runs out), when it throws, and on a crash.
+  int cached_sessions() const {
+    return cached_sessions_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// One session's warm continuation state: when the next shard starts at
   /// exactly `frames_done`, the executor continues in place instead of
@@ -52,8 +60,7 @@ class LoopbackWorker : public WorkerProxy {
   /// start point rebuilds — correctness never depends on the cache.
   struct Cached {
     int frames_done = 0;
-    std::unique_ptr<VirtualFramework> vfw;
-    std::unique_ptr<CollaborativeEncoder> enc;
+    std::unique_ptr<SessionEngine> engine;
   };
 
   /// Node fault state as of the most recent heartbeat attempt.
@@ -91,6 +98,7 @@ class LoopbackWorker : public WorkerProxy {
   std::atomic<bool> drop_cache_{false};  ///< restart wiped volatile state
 
   std::map<int, Cached> cache_;  ///< executor-thread only
+  std::atomic<int> cached_sessions_{0};  ///< cache_.size() for observers
   std::thread executor_;
 };
 

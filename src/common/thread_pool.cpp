@@ -46,15 +46,21 @@ void ThreadPool::parallel_for(int begin, int end,
   const int chunk = ceil_div(total, parts);
 
   std::atomic<int> next{begin};
-  std::atomic<bool> failed{false};
+  // Lowest chunk start that threw so far. Chunks are claimed in increasing
+  // order, so a claim above it can never win and is dropped; a claim below
+  // it must still run, because its own error would win.
+  std::atomic<int> first_error_chunk{end};
+  std::atomic<bool> abandoned{false};  // submit() failed: stop every drain
   std::exception_ptr first_error;
-  int first_error_chunk = end;  // chunk start of the stored error
   std::mutex error_mutex;
 
   auto drain = [&] {
     for (;;) {
       const int lo = next.fetch_add(chunk);
-      if (lo >= end || failed.load(std::memory_order_relaxed)) break;
+      if (lo >= end || lo > first_error_chunk.load(std::memory_order_relaxed) ||
+          abandoned.load(std::memory_order_relaxed)) {
+        break;
+      }
       const int hi = std::min(end, lo + chunk);
       try {
         for (int i = lo; i < hi; ++i) fn(i);
@@ -62,11 +68,10 @@ void ThreadPool::parallel_for(int begin, int end,
         std::lock_guard lock(error_mutex);
         // Deterministic winner: the lowest-indexed chunk that threw,
         // not whichever worker reaches this lock first.
-        if (lo < first_error_chunk) {
-          first_error_chunk = lo;
+        if (lo < first_error_chunk.load(std::memory_order_relaxed)) {
+          first_error_chunk.store(lo, std::memory_order_relaxed);
           first_error = std::current_exception();
         }
-        failed.store(true, std::memory_order_relaxed);
         break;
       }
     }
@@ -82,7 +87,7 @@ void ThreadPool::parallel_for(int begin, int end,
     for (int p = 1; p < parts; ++p) futs.push_back(submit(drain));
   } catch (...) {
     submit_error = std::current_exception();
-    failed.store(true, std::memory_order_relaxed);  // stop in-flight drains
+    abandoned.store(true, std::memory_order_relaxed);  // stop in-flight drains
   }
   if (!submit_error) drain();  // The caller participates instead of idling.
   for (auto& f : futs) f.wait();

@@ -1,6 +1,10 @@
-// Real-mode FEVES encoder: the full Algorithm 1 loop producing an actual
-// bitstream and reconstruction, with kernels executing on host threads and
-// transfers performing genuine copies into per-device mirror buffers.
+// Real-mode FEVES encoder: the Algorithm 1 frame loop (core/frame_loop.hpp)
+// producing an actual bitstream and reconstruction, with kernels executing
+// on host threads and transfers performing genuine copies into per-device
+// mirror buffers. The mode supplies what modelling a frame does not need:
+// job re-preparation on retry, mirror staging and prestaging, kernel-tier
+// telemetry, the host-side I frame, and the bitstream plus reference-window
+// bookkeeping.
 //
 // This is the correctness anchor of the repository: for any topology and
 // scheduling policy, the reconstruction must match the single-device
@@ -25,7 +29,7 @@ struct EncoderCheckpoint {
   std::vector<std::shared_ptr<const RefPicture>> refs;  ///< newest first
 };
 
-class CollaborativeEncoder {
+class CollaborativeEncoder : private FrameMode {
  public:
   CollaborativeEncoder(const EncoderConfig& cfg, const PlatformTopology& topo,
                        FrameworkOptions opts = {},
@@ -60,25 +64,34 @@ class CollaborativeEncoder {
     return refs_.ref(0).recon;
   }
 
-  int frames_encoded() const { return next_frame_; }
-  const PerfCharacterization& characterization() const { return perf_; }
-  const DeviceHealthMonitor& health() const { return health_; }
+  int frames_encoded() const { return loop_.next_frame(); }
+  const PerfCharacterization& characterization() const {
+    return loop_.characterization();
+  }
+  const DeviceHealthMonitor& health() const { return loop_.health(); }
 
  private:
-  EncoderConfig cfg_;
-  PlatformTopology topo_;
-  FrameworkOptions opts_;
+  bool speculates_concurrently() const override { return true; }
+  void stage_attempt(int attempt, const std::vector<bool>& active,
+                     int active_refs) override;
+  void prestage(const std::vector<bool>& active, int active_refs) override;
+  ExecutionResult execute(int frame, const ScheduleDecision& sd,
+                          int active_refs, const ExecuteOptions& opts,
+                          FrameOpIds* ids) override;
+  void attempt_failed(DataAccessManagement& dam) override;
+  void attempt_succeeded(int frame, FrameStats* stats) override;
+  /// (Re-)prepares job_ for `cur` from the untouched reference window,
+  /// recycling `recon` as its reconstruction buffer.
+  void prepare_job(std::unique_ptr<RefPicture> recon);
+
+  FrameLoop loop_;
   SimdTier tier_;
-  FaultSchedule faults_;
-  LoadBalancer balancer_;
-  DataAccessManagement dam_;
-  PerfCharacterization perf_;
-  DeviceHealthMonitor health_;
   RefList refs_;
   /// Per-frame working state, persistent so its vectors (motion fields,
   /// choices, coded levels, deblock info) keep their capacity across
   /// frames — prepare() then touches the heap only on geometry changes.
   EncodeJob job_;
+  const Frame420* cur_ = nullptr;  ///< source frame of the encode in flight
   /// Reference picture evicted from refs_ last frame, recycled into the
   /// next frame's recon allocation (RefPicture is tens of MB at 1080p).
   std::unique_ptr<RefPicture> recycled_;
@@ -86,11 +99,6 @@ class CollaborativeEncoder {
   /// Mirrors whose incremental per-frame contract is broken (device sat out
   /// a frame, or an attempt failed mid-flight) — restaged whole before use.
   std::vector<bool> mirror_stale_;
-  int next_frame_ = 0;
-  int rf_holder_ = 0;
-  /// Next frame's speculative schedule, produced on a concurrent
-  /// speculation thread while the current frame executes.
-  PipelineSlot slot_;
   /// Per-device prestaged mirror buffers (the pipeline's double buffer).
   std::vector<MirrorStage> staged_;
   /// Kernel-tier marks are emitted into the trace once per session.

@@ -90,35 +90,27 @@ void begin_frame_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
   }
   mirror.cf_y.fill(DeviceMirror::kPoison);
 
-  std::unique_ptr<DeviceMirror::RefMirror> fresh;
-  if (staged != nullptr && staged->valid &&
-      staged->active_refs == active_refs && staged->fresh != nullptr &&
-      staged->fresh->recon_y.width() == cfg.width &&
-      staged->fresh->recon_y.height() == cfg.height) {
-    fresh = std::move(staged->fresh);
-    // Swap rather than move: the mirror's last-frame field vectors return
-    // to the stage, where the next prestage recycles their capacity.
-    std::swap(mirror.fields, staged->fields);
-    std::swap(mirror.refined, staged->refined);
-    staged->valid = false;
-  } else {
-    fresh = std::make_unique<DeviceMirror::RefMirror>(cfg.width, cfg.height,
-                                                      border);
-    for (auto& plane : fresh->sf.phases) plane.fill(DeviceMirror::kPoison);
-    const std::size_t mbs = static_cast<std::size_t>(cfg.total_mbs());
-    mirror.fields.resize(static_cast<std::size_t>(active_refs));
-    for (MotionField& f : mirror.fields) f.assign(mbs, MbMotion{});
-    mirror.refined.resize(static_cast<std::size_t>(active_refs));
-    for (MotionField& f : mirror.refined) f.assign(mbs, MbMotion{});
+  // Without a matching prestaged slot, stage one now: both paths yield the
+  // same blank poisoned state.
+  MirrorStage cold;
+  MirrorStage& stage = staged != nullptr ? *staged : cold;
+  if (!stage.valid || stage.active_refs != active_refs ||
+      stage.fresh == nullptr || stage.fresh->recon_y.width() != cfg.width ||
+      stage.fresh->recon_y.height() != cfg.height) {
+    prestage_mirror(stage, cfg, active_refs);
   }
+  std::unique_ptr<DeviceMirror::RefMirror> fresh = std::move(stage.fresh);
+  // Swap rather than move: the mirror's last-frame field vectors return to
+  // the stage, where the next prestage recycles their capacity.
+  std::swap(mirror.fields, stage.fields);
+  std::swap(mirror.refined, stage.refined);
+  stage.valid = false;
   copy_full_plane(newest_recon_y, fresh->recon_y);
   mirror.refs.push_front(std::move(fresh));
   while (static_cast<int>(mirror.refs.size()) > active_refs) {
     // Hand the trimmed slot to the stage as the spare the next prestage
     // adopts — the window is steady-state, so this closes the alloc loop.
-    if (staged != nullptr && staged->spare == nullptr) {
-      staged->spare = std::move(mirror.refs.back());
-    }
+    if (stage.spare == nullptr) stage.spare = std::move(mirror.refs.back());
     mirror.refs.pop_back();
   }
 }

@@ -193,7 +193,7 @@ void EncodeService::run_session(Session* s) {
   s->result.id = s->id;
   TerminalReason reason = TerminalReason::kError;
   try {
-    reason = s->cfg.source != nullptr ? run_real(s) : run_virtual(s);
+    reason = run_ladder(s);
     // An abort that lands after the last frame still counts: callers that
     // asked for an abort must never observe a "completed" session.
     if (reason == TerminalReason::kCompleted &&
@@ -233,8 +233,9 @@ void EncodeService::run_session(Session* s) {
   }
 }
 
-TerminalReason EncodeService::run_virtual(Session* s) {
-  const ResilienceOptions& ro = s->cfg.resilience;
+TerminalReason EncodeService::run_ladder(Session* s) {
+  const SessionConfig& sc = s->cfg;
+  const ResilienceOptions& ro = sc.resilience;
   obs::ResilienceTelemetry& rt = s->result.resilience;
   SessionGovernor gov(ro, &breaker_,
                       (static_cast<u64>(s->id) + 1) * 0x9E3779B97F4A7C15ull);
@@ -242,24 +243,21 @@ TerminalReason EncodeService::run_virtual(Session* s) {
   // cp is the last good frame boundary; seeded from cfg.resume so a session
   // restarted from a predecessor's checkpoint escalates against it too.
   SessionCheckpoint cp;
-  if (s->cfg.resume != nullptr && s->cfg.resume->valid) cp = *s->cfg.resume;
+  if (sc.resume != nullptr && sc.resume->valid) cp = *sc.resume;
 
-  // Past the degrade point, restarts rebuild the framework with a reduced
-  // search range — legitimate in virtual mode only (no bitstream to keep
-  // bit-exact); real mode degrades by shrinking its grant instead.
-  auto make_fw = [&] {
-    EncoderConfig cfg = s->cfg.cfg;
-    cfg.search_range = gov.degraded_search_range(cfg.search_range);
-    return std::make_unique<VirtualFramework>(cfg, topo_, s->cfg.fw,
-                                              s->cfg.perturbations,
-                                              s->cfg.faults);
+  auto make_engine = [&](const EncoderConfig& cfg) {
+    return make_session_engine(cfg, topo_, sc.fw, sc.perturbations, sc.faults,
+                               sc.source, sc.tier);
   };
 
-  auto fw = make_fw();
+  auto engine = make_engine(sc.cfg);
   const int base = cp.valid ? static_cast<int>(cp.frames_recorded) : 0;
-  int f = base;  // stream-global count of inter-frames done
+  // Resumed sessions emit only the continuation bytes; checkpoints record
+  // stream-global offsets so a chain of resumes keeps composing.
+  const std::size_t base_bytes = cp.valid ? cp.bitstream_bytes : 0;
+  int f = base;  // stream-global count of FrameStats recorded
   if (cp.valid) {
-    fw->restore(cp.fw);
+    engine->restore(cp.state);
     rt.checkpoints_restored += 1;
   }
 
@@ -267,50 +265,69 @@ TerminalReason EncodeService::run_virtual(Session* s) {
     const auto t0 = SteadyClock::now();
     cp.valid = true;
     cp.frames_recorded = static_cast<std::size_t>(f);
-    cp.bitstream_bytes = 0;
-    cp.fw = fw->checkpoint();
+    cp.bitstream_bytes = base_bytes + s->result.bitstream.size();
+    cp.state = engine->checkpoint();
     s->result.checkpoint = cp;
     rt.checkpoints_taken += 1;
     const double took = ms_since(t0);
     rt.checkpoint_ms += took;
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f, "checkpoint", obs::EventKind::kMark,
-                                      took, obs::kLaneResilience);
+    if (sc.fw.trace != nullptr) {
+      sc.fw.trace->add_host_event(f, "checkpoint", obs::EventKind::kMark, took,
+                                  obs::kLaneResilience);
     }
   };
 
-  // Checkpoint-restart rung: back off (jittered), rebuild the framework
-  // (picking up any degradation), rewind to the last good frame.
+  // Checkpoint-restart rung: back off (jittered), rebuild the engine
+  // (picking up any degradation), rewind to the last good frame. Past the
+  // degrade point the rebuilt engine also gets a reduced search range where
+  // its mode allows it; otherwise degradation only shrinks the grant.
   auto do_restart = [&] {
     backoff_sleep(s, gov.begin_restart(), f + 1, "restart-backoff");
     rt.restarts += 1;
-    fw = make_fw();
+    const bool shrink_search = engine->degrades_search_range();
+    EncoderConfig cfg = sc.cfg;
+    if (shrink_search) {
+      cfg.search_range = gov.degraded_search_range(cfg.search_range);
+    }
+    engine = make_engine(cfg);
     int new_f = base;
+    std::size_t keep_bytes = 0;
     if (cp.valid) {
-      fw->restore(cp.fw);
+      engine->restore(cp.state);
       new_f = static_cast<int>(cp.frames_recorded);
+      keep_bytes = cp.bitstream_bytes - base_bytes;
       rt.checkpoints_restored += 1;
     }
     rt.frames_replayed += f - new_f;
     s->result.frames.resize(static_cast<std::size_t>(new_f - base));
+    s->result.bitstream.resize(keep_bytes);
     f = new_f;
     if (gov.degraded()) {
       rt.degraded_sessions = 1;
-      s->result.degrade_level = ro.degrade_search_range ? 2 : 1;
+      s->result.degrade_level = shrink_search && ro.degrade_search_range ? 2 : 1;
     }
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark,
-                                      0.0, obs::kLaneResilience);
+    if (sc.fw.trace != nullptr) {
+      sc.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark, 0.0,
+                                  obs::kLaneResilience);
     }
   };
 
-  while (f < s->cfg.frames) {
+  while (f < sc.frames) {
     if (s->abort.load(std::memory_order_relaxed)) {
       return TerminalReason::kAborted;
     }
     if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
+    if (!engine->load_next()) break;  // short source
+    if (!engine->needs_grant()) {
+      // Bootstrap I frame: host-side intra path, touches no pool device.
+      s->result.frames.push_back(engine->encode({}, &s->result.bitstream));
+      ++f;
+      // Checkpoint right away so no restart ever has to redo the bootstrap.
+      if (ro.checkpoint_interval > 0) take_checkpoint();
+      continue;
+    }
 
-    const std::vector<bool> usable = fw->health().active_mask();
+    const std::vector<bool> usable = engine->health().active_mask();
     if (!any_usable(usable)) {
       // Every device quarantined from this session's view — the only rung
       // left is a restart, which restores the pre-storm health state.
@@ -322,7 +339,7 @@ TerminalReason EncodeService::run_virtual(Session* s) {
       do_restart();
       continue;
     }
-    const bool probation_grant = all_probation(fw->health(), usable);
+    const bool probation_grant = all_probation(engine->health(), usable);
 
     const double brk = gov.breaker_wait_ms();
     if (brk > 0.0) {
@@ -339,7 +356,8 @@ TerminalReason EncodeService::run_virtual(Session* s) {
     }
     FrameStats stats;
     try {
-      stats = fw->encode_frame(FrameGrant{&grant->lease.mask(), &grant->lease});
+      stats = engine->encode(FrameGrant{&grant->lease.mask(), &grant->lease},
+                             &s->result.bitstream);
     } catch (...) {
       // The grant must flow back even when the frame dies: a leaked lease
       // would starve every other session.
@@ -347,9 +365,11 @@ TerminalReason EncodeService::run_virtual(Session* s) {
       gov.grant_lost();
       if (probation_grant) rt.probation_relapses += 1;
       // A fault storm can quarantine the whole grant mid-frame. Nothing was
-      // committed, so if the health mask shrank and other devices remain
-      // usable, take a fresh grant and retry this frame on them.
-      const std::vector<bool> now = fw->health().active_mask();
+      // committed (bitstream and references update only on success), so if
+      // the health mask shrank and other devices remain usable, take a
+      // fresh grant and retry this frame on them — the stream stays
+      // bit-exact.
+      const std::vector<bool> now = engine->health().active_mask();
       if (now != usable && any_usable(now)) continue;
       if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
       if (!gov.can_restart()) {
@@ -361,153 +381,6 @@ TerminalReason EncodeService::run_virtual(Session* s) {
                      : TerminalReason::kRestartsExhausted;
         }
         throw;  // restart rung disabled: legacy fail-with-error
-      }
-      do_restart();
-      continue;
-    }
-    arbiter_.release(s->id, std::move(*grant), stats.total_ms,
-                     used_devices(stats.dist));
-    gov.frame_completed();
-    s->result.frames.push_back(std::move(stats));
-    ++f;
-    if (ro.checkpoint_interval > 0 && f % ro.checkpoint_interval == 0) {
-      take_checkpoint();
-    }
-  }
-  return TerminalReason::kCompleted;
-}
-
-TerminalReason EncodeService::run_real(Session* s) {
-  const ResilienceOptions& ro = s->cfg.resilience;
-  obs::ResilienceTelemetry& rt = s->result.resilience;
-  SessionGovernor gov(ro, &breaker_,
-                      (static_cast<u64>(s->id) + 1) * 0x9E3779B97F4A7C15ull);
-
-  SessionCheckpoint cp;
-  if (s->cfg.resume != nullptr && s->cfg.resume->valid) cp = *s->cfg.resume;
-
-  auto make_enc = [&] {
-    return std::make_unique<CollaborativeEncoder>(s->cfg.cfg, topo_, s->cfg.fw,
-                                                  s->cfg.tier, s->cfg.faults);
-  };
-
-  auto enc = make_enc();
-  const int base = cp.valid ? static_cast<int>(cp.frames_recorded) : 0;
-  // Resumed sessions emit only the continuation bytes; checkpoints record
-  // stream-global offsets so a chain of resumes keeps composing.
-  const std::size_t base_bytes = cp.valid ? cp.bitstream_bytes : 0;
-  int f = base;  // stream-global count of frames done (incl. the I frame)
-  if (cp.valid) {
-    enc->restore(cp.enc);
-    rt.checkpoints_restored += 1;
-  }
-
-  auto take_checkpoint = [&] {
-    const auto t0 = SteadyClock::now();
-    cp.valid = true;
-    cp.frames_recorded = static_cast<std::size_t>(f);
-    cp.bitstream_bytes = base_bytes + s->result.bitstream.size();
-    cp.enc = enc->checkpoint();
-    cp.fw = cp.enc.fw;
-    s->result.checkpoint = cp;
-    rt.checkpoints_taken += 1;
-    const double took = ms_since(t0);
-    rt.checkpoint_ms += took;
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f, "checkpoint", obs::EventKind::kMark,
-                                      took, obs::kLaneResilience);
-    }
-  };
-
-  auto do_restart = [&] {
-    backoff_sleep(s, gov.begin_restart(), f + 1, "restart-backoff");
-    rt.restarts += 1;
-    enc = make_enc();
-    int new_f = 0;
-    std::size_t keep_bytes = 0;
-    if (cp.valid) {
-      enc->restore(cp.enc);
-      new_f = static_cast<int>(cp.frames_recorded);
-      keep_bytes = cp.bitstream_bytes - base_bytes;
-      rt.checkpoints_restored += 1;
-    }
-    rt.frames_replayed += f - new_f;
-    s->result.frames.resize(static_cast<std::size_t>(new_f - base));
-    s->result.bitstream.resize(keep_bytes);
-    f = new_f;
-    if (gov.degraded()) {
-      rt.degraded_sessions = 1;
-      s->result.degrade_level = 1;  // grant cap only: bits must not change
-    }
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark,
-                                      0.0, obs::kLaneResilience);
-    }
-  };
-
-  Frame420 frame(s->cfg.cfg.width, s->cfg.cfg.height);
-  while (f < s->cfg.frames) {
-    if (s->abort.load(std::memory_order_relaxed)) {
-      return TerminalReason::kAborted;
-    }
-    if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-    if (!s->cfg.source->read_frame(f, frame)) break;  // short source
-    if (f == 0) {
-      // Bootstrap I frame: host-side intra path, touches no pool device.
-      s->result.frames.push_back(enc->encode_frame(frame, &s->result.bitstream));
-      ++f;
-      // Checkpoint right away so no restart ever has to redo the bootstrap.
-      if (ro.checkpoint_interval > 0) take_checkpoint();
-      continue;
-    }
-
-    const std::vector<bool> usable = enc->health().active_mask();
-    if (!any_usable(usable)) {
-      if (!gov.can_restart()) {
-        if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-        return rt.probation_relapses > 0 ? TerminalReason::kProbationChurn
-                                         : TerminalReason::kNoUsableDevice;
-      }
-      do_restart();
-      continue;
-    }
-    const bool probation_grant = all_probation(enc->health(), usable);
-
-    const double brk = gov.breaker_wait_ms();
-    if (brk > 0.0) {
-      backoff_sleep(s, brk, f + 1, "breaker-wait");
-      continue;
-    }
-
-    AcquireOutcome outcome = AcquireOutcome::kGranted;
-    auto grant =
-        arbiter_.acquire(s->id, usable, &outcome, gov.max_devices_hint());
-    if (!grant.has_value()) {
-      return outcome == AcquireOutcome::kShed ? TerminalReason::kShed
-                                              : TerminalReason::kAborted;
-    }
-    FrameStats stats;
-    try {
-      stats = enc->encode_frame(frame, &s->result.bitstream,
-                                FrameGrant{&grant->lease.mask(), &grant->lease});
-    } catch (...) {
-      arbiter_.release(s->id, std::move(*grant), 0.0, 0, /*completed=*/false);
-      gov.grant_lost();
-      if (probation_grant) rt.probation_relapses += 1;
-      // Same whole-grant-quarantined recovery as run_virtual: the frame
-      // never committed any state (bitstream and references update only on
-      // success), so retrying it on the surviving devices keeps the stream
-      // bit-exact.
-      const std::vector<bool> now = enc->health().active_mask();
-      if (now != usable && any_usable(now)) continue;
-      if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-      if (!gov.can_restart()) {
-        if (ro.max_restarts > 0) {
-          return rt.probation_relapses > 0
-                     ? TerminalReason::kProbationChurn
-                     : TerminalReason::kRestartsExhausted;
-        }
-        throw;
       }
       do_restart();
       continue;

@@ -1,11 +1,11 @@
 // Multi-session encode service: N concurrent encode sessions over one
 // shared heterogeneous device pool. Each submitted session runs its own
-// Algorithm-1 loop (VirtualFramework without a video source, the real
-// CollaborativeEncoder with one) on a worker thread; every frame it asks
-// the PoolArbiter for a weighted fair share of the free devices, encodes
-// over that grant — the LP balancing only the granted subset, the executors
-// enforcing the lease — and releases the share with the frame's duration so
-// the arbiter's virtual clocks and fairness accounting advance.
+// Algorithm-1 loop behind a SessionEngine (session_engine.hpp: virtual
+// without a video source, real with one) on a worker thread; every frame
+// it asks the PoolArbiter for a weighted fair share of the free devices,
+// encodes over that grant — the LP balancing only the granted subset, the
+// executors enforcing the lease — and releases the share with the frame's
+// duration so the arbiter's virtual clocks and fairness accounting advance.
 //
 // The correctness anchor survives multi-tenancy: a session's bitstream and
 // reconstruction are bit-identical to encoding the same sequence alone,
@@ -24,10 +24,9 @@
 // lowest-priority overload instead of stalling everyone.
 #pragma once
 
-#include "core/collaborative_encoder.hpp"
-#include "core/framework.hpp"
 #include "service/arbiter.hpp"
 #include "service/resilience.hpp"
+#include "service/session_engine.hpp"
 #include "video/sequence.hpp"
 
 #include <atomic>
@@ -147,8 +146,8 @@ class EncodeService {
   };
 
   void run_session(Session* s);
-  TerminalReason run_virtual(Session* s);
-  TerminalReason run_real(Session* s);
+  /// The session's escalation ladder over its SessionEngine.
+  TerminalReason run_ladder(Session* s);
   /// Sleeps ~ms (sliced so an abort cuts it short), booking the wait into
   /// the session's telemetry and trace lane.
   void backoff_sleep(Session* s, double ms, int frame, const char* why);

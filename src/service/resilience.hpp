@@ -172,16 +172,15 @@ class CircuitBreaker {
   Clock::time_point opened_at_{};
 };
 
-/// Frame-boundary snapshot of one service session: the encoder-side
+/// Frame-boundary snapshot of one service session: the engine-side
 /// checkpoint plus the session-side resume coordinates (how much of the
-/// result — frames, bitstream bytes — the snapshot covers). Real sessions
-/// fill `enc`; virtual sessions fill `fw`.
+/// result — frames, bitstream bytes — the snapshot covers).
 struct SessionCheckpoint {
   bool valid = false;
   std::size_t frames_recorded = 0;   ///< FrameStats entries at the boundary
   std::size_t bitstream_bytes = 0;   ///< real mode: stream length to keep
-  EncoderCheckpoint enc;             ///< real mode
-  FrameworkCheckpoint fw;            ///< virtual mode
+  /// Framework state, plus the reference window in real mode.
+  EncoderCheckpoint state;
 };
 
 /// Per-session budget/ladder bookkeeping driving the session loop: tracks

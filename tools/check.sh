@@ -8,7 +8,8 @@
 #   tools/check.sh --ci build-test    # configure + build + tier-1 ctest
 #   tools/check.sh --ci sanitize      # nested sanitizer builds (ctest -L)
 #   tools/check.sh --ci format        # clang-format over the source tree
-#   tools/check.sh --ci bench-smoke   # cheap bench runs, JSON to bench-json/
+#   tools/check.sh --ci bench-smoke   # cheap bench runs, JSON to bench-json/,
+#                                     # plus e2e_bench/run.py --selftest
 #   tools/check.sh --ci chaos-smoke   # reduced chaos sweep (FEVES_CHAOS_ITERS)
 #
 # Environment: BUILD_TYPE sets CMAKE_BUILD_TYPE; CC/CXX select the
@@ -132,6 +133,9 @@ stage_bench_smoke() {
   "$BUILD/bench/ext_service_throughput" --smoke --workers 4 \
       --json "$BENCH_JSON_DIR/ext_service_throughput.json" \
       >/dev/null || ok=1
+  # The repo benchmark's self-test builds e2e_bench/ against the public
+  # entry points it drives, so an API break there fails here too.
+  python3 "$ROOT/e2e_bench/run.py" --selftest || ok=1
   return $ok
 }
 
