@@ -176,6 +176,11 @@ void LoopbackWorker::run_executor() {
 }
 
 void LoopbackWorker::execute_shard(const WorkShard& shard) {
+  // Publishes the cache size on every way out, crash and cancel included.
+  auto publish_cache_size = [this] {
+    cached_sessions_.store(static_cast<int>(cache_.size()),
+                           std::memory_order_relaxed);
+  };
   if (drop_cache_.exchange(false, std::memory_order_relaxed)) cache_.clear();
 
   ShardResult r;
@@ -201,6 +206,7 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
       // only steer WHERE work runs, never what bits come out.
       FrameworkOptions fwo = shard.fw;
       fwo.trace = nullptr;  // worker-private loop: the manager traces instead
+      c.engine.reset();  // free the stale engine's buffers before the new one
       c.engine = make_session_engine(shard.cfg, topo_, fwo, shard.perturbations,
                                      shard.device_faults, shard.source,
                                      shard.tier);
@@ -235,10 +241,12 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
       if (!running_.load(std::memory_order_relaxed)) return;
       if (st.crashed) {
         cache_.clear();
+        publish_cache_size();
         return;  // died mid-shard; the lease will expire manager-side
       }
       if (lease_canceled(shard.lease_id)) {
         cache_.erase(shard.session);
+        publish_cache_size();
         return;
       }
 
@@ -276,8 +284,7 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
     r.error = e.what();
     cache_.erase(shard.session);  // state is suspect after a throw
   }
-  cached_sessions_.store(static_cast<int>(cache_.size()),
-                         std::memory_order_relaxed);
+  publish_cache_size();
   r.encode_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();

@@ -47,7 +47,7 @@ class LoopbackWorker : public WorkerProxy {
   const PlatformTopology& topology() const { return topo_; }
 
   /// Sessions whose continuation state the executor holds, as of the last
-  /// shard it finished. A session leaves the cache when its final quantum
+  /// shard it finished or abandoned. A session leaves the cache when its final quantum
   /// ends (or its source runs out), when it throws, and on a crash.
   int cached_sessions() const {
     return cached_sessions_.load(std::memory_order_relaxed);

@@ -48,22 +48,22 @@ void CollaborativeEncoder::restore(const EncoderCheckpoint& cp) {
   }
 }
 
-void CollaborativeEncoder::prepare_job(std::unique_ptr<RefPicture> recon) {
+void CollaborativeEncoder::prepare_job(const Frame420& cur,
+                                       std::unique_ptr<RefPicture> recon) {
   // The job is a member purely as an allocation arena: every attempt fully
   // re-prepares it, and ping-ponging the borrowed-refs vector through
   // prepare() keeps even that small buffer alive across frames.
   std::vector<RefPicture*> borrowed = std::move(job_.refs);
   borrowed.clear();
   for (int i = 0; i < refs_.size(); ++i) borrowed.push_back(&refs_.ref(i));
-  job_.prepare(loop_.cfg(), *cur_, std::move(borrowed), loop_.next_frame(),
+  job_.prepare(loop_.cfg(), cur, std::move(borrowed), loop_.next_frame(),
                std::move(recon));
 }
 
 FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
                                               std::vector<u8>* bitstream_out,
                                               const FrameGrant& grant) {
-  cur_ = &cur;
-  prepare_job(std::move(recycled_));
+  prepare_job(cur, std::move(recycled_));
   FrameStats stats;
   if (job_.is_intra) {
     // Bootstrap I frame: host-only (paper Fig 1's intra path; the inter
@@ -97,9 +97,10 @@ void CollaborativeEncoder::stage_attempt(int attempt,
                                          const std::vector<bool>& active,
                                          int active_refs) {
   // A failed attempt may have partially written MVs, SF planes or the
-  // reconstruction; rebuild the job from the untouched inputs. Its own
-  // recon is recycled — every pixel is rewritten anyway.
-  if (attempt > 0) prepare_job(std::move(job_.recon));
+  // reconstruction; rebuild the job from the untouched inputs (the job
+  // still points at the source frame). Its own recon is recycled — every
+  // pixel is rewritten anyway.
+  if (attempt > 0) prepare_job(*job_.cur, std::move(job_.recon));
   const PlatformTopology& topo = loop_.topo();
   for (int i = 0; i < topo.num_devices(); ++i) {
     if (!topo.devices[i].is_accelerator()) continue;

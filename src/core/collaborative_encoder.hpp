@@ -82,7 +82,7 @@ class CollaborativeEncoder : private FrameMode {
   void attempt_succeeded(int frame, FrameStats* stats) override;
   /// (Re-)prepares job_ for `cur` from the untouched reference window,
   /// recycling `recon` as its reconstruction buffer.
-  void prepare_job(std::unique_ptr<RefPicture> recon);
+  void prepare_job(const Frame420& cur, std::unique_ptr<RefPicture> recon);
 
   FrameLoop loop_;
   SimdTier tier_;
@@ -91,7 +91,6 @@ class CollaborativeEncoder : private FrameMode {
   /// choices, coded levels, deblock info) keep their capacity across
   /// frames — prepare() then touches the heap only on geometry changes.
   EncodeJob job_;
-  const Frame420* cur_ = nullptr;  ///< source frame of the encode in flight
   /// Reference picture evicted from refs_ last frame, recycled into the
   /// next frame's recon allocation (RefPicture is tens of MB at 1080p).
   std::unique_ptr<RefPicture> recycled_;
